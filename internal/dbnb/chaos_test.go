@@ -302,3 +302,25 @@ func TestChaosDupReorderDeterministic(t *testing.T) {
 		t.Errorf("nondeterministic under full chaos:\n%+v\nvs\n%+v", a.Net, b.Net)
 	}
 }
+
+// TestCrashAfterTermination: a process that detected termination and then
+// crashes is counted crashed (NaN detection); the survivors' results stand.
+func TestCrashAfterTermination(t *testing.T) {
+	tr := btree.Tiny(13)
+	cfg := Config{Procs: 3, Seed: 9, RecoveryQuiet: 3}
+	base := Run(tr, cfg)
+	cfg.Crashes = []Crash{{Time: base.Time + 1, Node: 1}}
+	res := Run(tr, cfg)
+	if !res.Terminated || !res.OptimumOK {
+		t.Fatalf("run failed: %+v", res)
+	}
+	for i, d := range res.DetectTimes {
+		if i == 1 {
+			if !math.IsNaN(d) {
+				t.Errorf("crashed process detected at %g, want NaN", d)
+			}
+		} else if d != base.DetectTimes[i] {
+			t.Errorf("process %d detected at %g, want %g", i, d, base.DetectTimes[i])
+		}
+	}
+}

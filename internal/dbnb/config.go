@@ -8,9 +8,12 @@
 // goroutine runtime (internal/live). This package is the deterministic-sim
 // driver: it feeds virtual time and internal/sim network events into the
 // core and charges the modeled CPU costs of the paper's evaluation. It
-// solves either a recorded basic tree (Run — exactly the paper's Parsec
-// experiments) or a real code-driven problem expanded from its initial
-// data (RunProblem).
+// solves a recorded basic tree (Run — exactly the paper's Parsec
+// experiments), a real code-driven problem expanded from its initial data
+// (RunProblem, RunProblemRef), or several such problems at once over one
+// cluster (RunInstances). One simulated actor serves all of them: a node is
+// one instance's context on one process, and a single-instance run is
+// instance 0, whose messages go out untagged exactly as in the live runtime.
 package dbnb
 
 import (

@@ -22,7 +22,7 @@ import (
 const (
 	fingerprintMeshShards1 uint64 = 0x9f7b79cc9b2dc65b
 	fingerprintMeshShards4 uint64 = 0xeff86315e7540f84
-	fingerprintInstances   uint64 = 0x3abe01d672fff7a3
+	fingerprintInstances   uint64 = 0x107157479cf9e7e4
 )
 
 func fingerprint(vals []float64) uint64 {

@@ -216,3 +216,67 @@ func TestRunInstancesRejectsUnsupported(t *testing.T) {
 		Instances:     fourInstances()[:1],
 	})
 }
+
+// TestMultiInstanceRestartBeforeActivation: a whole-process crash-restart
+// that lands before a late instance's submission must leave that instance
+// exactly as if the process had never failed. The restart only revives the
+// not-yet-active context; activation starts its gossip chains, once.
+func TestMultiInstanceRestartBeforeActivation(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	base := Config{
+		Procs:         4,
+		Seed:          23,
+		Prune:         true,
+		Select:        DepthFirst,
+		TableInterval: 5,
+		Instances: []Instance{
+			{Problem: bnb.RandomKnapsack(r, 12), Seed: 1, StartTime: 0},
+			{Problem: bnb.RandomKnapsack(r, 12), Seed: 2, StartTime: 600},
+		},
+	}
+	quiet := RunInstances(base)
+	hit := base
+	hit.Crashes = []Crash{{Time: 1, Node: 1, Restart: 2}}
+	res := RunInstances(hit)
+	if !res.Terminated || !res.Instances[1].OptimumOK {
+		t.Fatalf("run failed: %+v", res.Instances[1])
+	}
+	for i := 0; i < base.Procs; i++ {
+		q, h := quiet.Met.At(1).Nodes[i].TablesSent, res.Met.At(1).Nodes[i].TablesSent
+		if q != h {
+			t.Errorf("process %d sent %d tables for the late instance, %d without the restart", i, h, q)
+		}
+		if quiet.Instances[1].DetectTimes[i] != res.Instances[1].DetectTimes[i] {
+			t.Errorf("process %d detected the late instance at %g, %g without the restart",
+				i, res.Instances[1].DetectTimes[i], quiet.Instances[1].DetectTimes[i])
+		}
+	}
+}
+
+// TestMultiInstanceCrashAfterTermination: a whole-process crash after every
+// instance finished marks the process crashed in each of them (NaN
+// detection), exactly as Run does, and leaves the other processes' results
+// alone.
+func TestMultiInstanceCrashAfterTermination(t *testing.T) {
+	cfg := Config{Procs: 6, Seed: 19, Prune: true, Select: DepthFirst, Instances: fourInstances()[:2]}
+	quiet := RunInstances(cfg)
+	cfg.Crashes = []Crash{{Time: quiet.Time + 1, Node: 2}}
+	res := RunInstances(cfg)
+	if !res.Terminated {
+		t.Fatal("run did not terminate")
+	}
+	for k, ir := range res.Instances {
+		if !ir.OptimumOK {
+			t.Errorf("instance %d: optimum %g, want %g", ir.ID, ir.Optimum, ir.SeqOptimum)
+		}
+		for i, d := range ir.DetectTimes {
+			want := quiet.Instances[k].DetectTimes[i]
+			if i == 2 {
+				want = math.NaN()
+			}
+			if d != want && !(math.IsNaN(d) && math.IsNaN(want)) {
+				t.Errorf("instance %d process %d: detected at %g, want %g", ir.ID, i, d, want)
+			}
+		}
+	}
+}

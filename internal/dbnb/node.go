@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"gossipbnb/internal/code"
+	"gossipbnb/internal/instance"
 	"gossipbnb/internal/metrics"
 	"gossipbnb/internal/protocol"
 	"gossipbnb/internal/sim"
@@ -19,28 +20,39 @@ type inMsg struct {
 	msg  protocol.Msg
 }
 
-// node drives one protocol.Core under the virtual-time simulator. The split
-// of responsibilities is strict: every protocol decision — what to expand,
-// when to report, whom to probe, when to presume work lost — lives in the
-// shared core; the node owns only what the simulated substrate defines:
-// busy periods charged via the kernel, timers, modeled CPU costs, metrics
-// and trace accounting, idle spans, and crash delivery.
+// node drives one protocol.Core under the virtual-time simulator: one
+// instance's execution context on one process. The split of responsibilities
+// is strict: every protocol decision — what to expand, when to report, whom to
+// probe, when to presume work lost — lives in the shared core; the node owns
+// only what the simulated substrate defines: busy periods charged via the
+// kernel, timers, modeled CPU costs, metrics and trace accounting, idle spans,
+// and crash delivery. A single-instance run is instance 0, whose messages go
+// out untagged; a multi-instance run gives every (process, instance) pair its
+// own node behind the process's instance.Mux.
 type node struct {
 	id   sim.NodeID
 	h    *harness
 	sh   *shardCtx   // owner shard: the kernel/network/accounting this node lives on
 	k    *sim.Kernel // == sh.k, the node's scheduling clock
+	sp   *spec       // the instance this context solves
+	rec  *rec        // the owner shard's record for sp
 	core *protocol.Core
 	exp  protocol.Expander // this process's own code resolver
+	// entry is the node's mux entry in multi-instance runs (nil otherwise):
+	// its Core follows restarts, and termination reaps it.
+	entry *instance.Entry
 
 	// rng drives every stochastic choice this process makes (timer stagger,
 	// report fanout targets, recovery jitter). Legacy mode aliases the
 	// single kernel's global stream — the pre-sharding draw order, byte for
-	// byte. Sharded mode derives an independent stream from (seed, id), so
-	// a process's decisions do not depend on how processes are sharded —
-	// the root of the shard-count invariance property.
+	// byte. Every other mode derives an independent stream from (seed,
+	// instance, id), so a process's decisions do not depend on how processes
+	// are sharded — the root of the shard-count invariance property.
 	rng *rand.Rand
 
+	// started marks activation: instance 0 is active from boot, a
+	// multi-instance context from its instance's submission time.
+	started    bool
 	busy       bool
 	crashed    bool
 	done       bool // observed the core's termination detection
@@ -118,12 +130,12 @@ type node struct {
 // serves. Event counts (reports, tables, requests, work sent) are NOT
 // tallied here — the core counts them at protocol level (so e.g. the
 // termination broadcast is not a "work report" in the experiment tables)
-// and Run folds them into the metrics.
+// and the result fold copies them into the metrics.
 type nodeSender struct{ n *node }
 
 func (s nodeSender) Send(to protocol.NodeID, m protocol.Msg) {
 	n := s.n
-	n.sh.nw.Send(n.id, sim.NodeID(to), m)
+	n.sh.nw.Send(n.id, sim.NodeID(to), n.wire(m))
 	over := n.h.cfg.CommOverhead
 	switch m.(type) {
 	case protocol.Report, protocol.TableMsg,
@@ -134,24 +146,34 @@ func (s nodeSender) Send(to protocol.NodeID, m protocol.Msg) {
 	}
 }
 
+// wire tags a message with the node's instance. Instance 0 goes out
+// untagged, so single-instance runs speak the legacy wire format, as in live.
+func (n *node) wire(m protocol.Msg) sim.Message {
+	if n.sp.id == 0 {
+		return m
+	}
+	return protocol.InstMsg{Instance: n.sp.id, Msg: m}
+}
+
 // Broadcast implements protocol.BroadcastSender for the termination
-// broadcast of §5.4. The legacy path loops Send — exactly what the core
-// would do with a plain Sender. Sharded runs route the fan-out through the
-// mesh's ring-range group path: the static peer view IS the ring minus the
-// sender, so the procs² broadcast collapses to one group delivery per
-// destination shard instead of procs² pending events.
+// broadcast of §5.4. Without a mesh it loops Send — exactly what the core
+// would do with a plain Sender. Mesh runs route the fan-out through the
+// ring-range group path: the static peer view IS the ring minus the sender,
+// so the procs² broadcast collapses to one group delivery per destination
+// shard instead of procs² pending events.
 func (s nodeSender) Broadcast(peers []protocol.NodeID, m protocol.Msg) {
 	n := s.n
-	if n.sh.legacy || n.h.elastic {
-		// Legacy path, and elastic views on any kernel: the ring-range fast
-		// path below walks a window of the full static ring, which is wrong
-		// the moment the live member set is a prefix of the identity space.
+	if n.h.mesh == nil || n.h.elastic {
+		// No mesh (a standalone network has no ring path), and elastic views
+		// on any kernel: the ring-range fast path below walks a window of the
+		// full static ring, which is wrong the moment the live member set is
+		// a prefix of the identity space.
 		for _, p := range peers {
 			s.Send(p, m)
 		}
 		return
 	}
-	n.sh.nw.BroadcastRange(n.id, int(n.id)+1, len(peers), m)
+	n.sh.nw.BroadcastRange(n.id, int(n.id)+1, len(peers), n.wire(m))
 	over := n.h.cfg.CommOverhead * float64(len(peers))
 	switch m.(type) {
 	case protocol.Report, protocol.TableMsg:
@@ -161,12 +183,13 @@ func (s nodeSender) Broadcast(peers []protocol.NodeID, m protocol.Msg) {
 	}
 }
 
-func newNode(id sim.NodeID, h *harness, sh *shardCtx) *node {
-	n := &node{id: id, h: h, sh: sh, k: sh.k, exp: h.w.newExpander(), idleStart: -1, met: &h.met.Nodes[id]}
+func newNode(id sim.NodeID, h *harness, sh *shardCtx, sp *spec) *node {
+	n := &node{id: id, h: h, sh: sh, k: sh.k, sp: sp, rec: &sh.recs[sp.idx],
+		exp: sp.w.newExpander(), started: sp.id == 0, idleStart: -1, met: &sp.met.Nodes[id]}
 	if sh.legacy {
 		n.rng = sh.k.Rand()
 	} else {
-		n.rng = rand.New(rand.NewSource(sim.DeriveSeed(h.cfg.Seed, int(id))))
+		n.rng = rand.New(rand.NewSource(sp.rngSeed(h.cfg.Seed, int(id))))
 		if !h.elastic {
 			// The static peer view is a window into the shared doubled ring:
 			// every process but this one, O(1) extra memory per node where
@@ -215,9 +238,12 @@ func (n *node) initCore() {
 		Peers:         n.peerView,
 		Rand:          func(m int) int { return n.rng.Intn(m) },
 		RandFloat:     func() float64 { return n.rng.Float64() },
-		OnComplete:    n.sh.noteCompletion,
+		OnComplete:    n.noteCompletion,
 		OnTableChange: n.observeTable,
 	})
+	if n.entry != nil {
+		n.entry.Core = n.core
+	}
 }
 
 // peerView adapts the harness's membership view to protocol identifiers. The
@@ -270,7 +296,7 @@ func (n *node) dead() bool { return n.crashed || n.done }
 // processing messages, after a timer. The core decides the next activity;
 // the loop charges its cost.
 func (n *node) loop() {
-	if n.busy || n.crashed {
+	if !n.started || n.busy || n.crashed {
 		return
 	}
 	if len(n.inbox) > 0 {
@@ -301,7 +327,7 @@ func (n *node) loop() {
 // only one expansion per incarnation, and expandDone discards stale fires
 // from dead incarnations before reading them.
 func (n *node) expand(it protocol.Item) {
-	cost := n.h.w.costOf(it) * n.h.cfg.CostFactor
+	cost := n.sp.w.costOf(it) * n.h.cfg.CostFactor
 	n.busy = true
 	n.pendItem = it
 	n.pendStart = n.k.Now()
@@ -321,7 +347,7 @@ func (n *node) expandDone(gen int) {
 	n.met.Add(metrics.BB, now-start)
 	n.h.cfg.Trace.Add(int(n.id), trace.Compute, start, now)
 	n.met.Expanded++
-	n.sh.noteExpansion(n, it.Code)
+	n.noteExpansion(it.Code)
 	n.core.OnExpanded(it, n.exp.Outcome(it), now-start)
 	n.loop()
 }
@@ -339,6 +365,31 @@ func (n *node) reportTick() {
 		n.core.FlushReport()
 	}
 	n.reportTimer = n.k.After(n.h.cfg.ReportTimeout, n.reportTickFn)
+}
+
+// startChains staggers the periodic report and table chains so they do not
+// synchronize system-wide: at boot, at activation, at a join, and at every
+// restart. The handles are kept so a crash can cancel the chains.
+func (n *node) startChains() {
+	jitter := n.rng.Float64()
+	n.reportTimer = n.k.After(jitter*n.h.cfg.ReportTimeout, n.reportTickFn)
+	if n.h.cfg.TableInterval > 0 {
+		n.tableTimer = n.k.After(jitter*n.h.cfg.TableInterval, n.tableTickFn)
+	}
+}
+
+// activate brings a multi-instance context up at its instance's submission
+// time: fresh activity evidence (a process joining a just-submitted instance
+// must not read its empty table as global quiescence), the root seeded at
+// the designated process, the periodic chains, and the main loop.
+func (n *node) activate() {
+	n.started = true
+	n.core.NoteRemoteActivity(0)
+	if n.sp.seedNode == int(n.id) {
+		n.core.Seed(n.exp.Root())
+	}
+	n.startChains()
+	n.loop()
 }
 
 // tableTick occasionally pushes the full table to one random member.
@@ -608,6 +659,37 @@ func (n *node) drainDone(gen int) {
 	n.loop()
 }
 
+// noteExpansion tracks redundant work: expansions of tree nodes some process
+// already expanded. The key is encoded into the shard's reused scratch
+// buffer; the compiler elides the string conversion on lookup, so only
+// first-time expansions allocate (their map key). Sharded runs dedup within
+// each shard and merge the key sets after the run, so Unique is exact; only
+// the per-node Redundant tallies become shard-local approximations there.
+func (n *node) noteExpansion(c code.Code) {
+	sh := n.sh
+	sh.keyBuf = c.EncodeInto(sh.keyBuf)
+	if n.rec.expanded[string(sh.keyBuf)] {
+		n.met.Redundant++
+		return
+	}
+	n.rec.expanded[string(sh.keyBuf)] = true
+}
+
+// noteCompletion maintains the union of completion information; its peak
+// wire size is the "one shared copy" baseline against which replicated
+// storage is called redundant. Sampled for the same reason as observeTable.
+// Sharded runs keep per-shard unions (the metrics sink is shared, so
+// mid-run sampling is legacy-only) merged for the final observation.
+func (n *node) noteCompletion(c code.Code) {
+	r := n.rec
+	r.completions++
+	r.union.Insert(c)
+	r.unionOps++
+	if n.sh.legacy && r.unionOps%32 == 0 {
+		n.sp.met.ObserveUnique(r.union.WireSize())
+	}
+}
+
 // observeTable samples the table's wire size for storage accounting.
 // Computing the exact size on every mutation would cost O(table) each time,
 // so it is sampled every 32 mutations (and at termination).
@@ -622,13 +704,32 @@ func (n *node) observeTable() {
 
 // onTerminated records the core's termination detection (§5.4): the core
 // already broadcast the final root report; the driver settles the books.
+// Inside a mux the instance is then reaped from the process: the routing
+// tombstone answers straggler work requests, and the core's table arenas
+// return to the pool.
 func (n *node) onTerminated() {
 	n.done = true
-	n.detectedAt = n.k.Now()
+	now := n.k.Now()
+	n.detectedAt = now
 	n.endIdle()
 	n.met.ObserveTable(n.core.Table().WireSize())
 	n.reqTimer.Cancel()
-	n.sh.noteTermination(n)
+	r := n.rec
+	r.detected++
+	if r.detected == 1 || now < r.firstDet {
+		r.firstDet = now
+	}
+	if now > r.lastDet {
+		r.lastDet = now
+	}
+	if n.h.cfg.UseMembership {
+		// Leave the group so membership heartbeats quiesce; peers time the
+		// process out exactly as they would a failed one (§5.2).
+		n.h.members[n.id].Leave()
+	}
+	if n.entry != nil {
+		n.h.muxes[n.id].Reap(n.sp.id)
+	}
 }
 
 // --- idle accounting -----------------------------------------------------------
@@ -675,6 +776,12 @@ func (n *node) restart() {
 		// crashed like any post-termination failure.
 		return
 	}
+	if !n.started {
+		// Restarted before its instance was submitted: nothing ran yet, so
+		// the reboot is only the revival — activation starts the chains.
+		n.crashed = false
+		return
+	}
 	n.h.cfg.Trace.Add(int(n.id), trace.Dead, n.crashedAt, n.k.Now())
 	n.cntPrior = n.cntPrior.Merge(n.core.Counters())
 	n.incarn++
@@ -684,7 +791,7 @@ func (n *node) restart() {
 	n.inbox = nil
 	n.idleStart = -1
 	n.tableOps = 0
-	n.exp = n.h.w.newExpander()
+	n.exp = n.sp.w.newExpander()
 	n.initCore()
 	if n.h.cfg.UseMembership {
 		// Rejoin the group through the §5.2 membership path: a brand-new
@@ -693,10 +800,6 @@ func (n *node) restart() {
 		n.h.rejoinMember(n.id)
 	}
 	// Restagger the periodic chains like at boot and resume the main loop.
-	jitter := n.rng.Float64()
-	n.reportTimer = n.k.After(jitter*n.h.cfg.ReportTimeout, n.reportTickFn)
-	if n.h.cfg.TableInterval > 0 {
-		n.tableTimer = n.k.After(jitter*n.h.cfg.TableInterval, n.tableTickFn)
-	}
+	n.startChains()
 	n.loop()
 }

@@ -9,6 +9,7 @@ import (
 	"gossipbnb/internal/btree"
 	"gossipbnb/internal/code"
 	"gossipbnb/internal/ctree"
+	"gossipbnb/internal/instance"
 	"gossipbnb/internal/member"
 	"gossipbnb/internal/metrics"
 	"gossipbnb/internal/protocol"
@@ -74,6 +75,47 @@ type workload struct {
 	sizeHint int
 }
 
+// spec is one problem instance of a run: what it solves, where its root is
+// seeded, and when it starts. A single-instance run (Run, RunProblem) is
+// instance 0 — seeded at process 0, active from boot, untagged on the wire.
+// RunInstances numbers its instances from 1.
+type spec struct {
+	id       protocol.InstanceID
+	idx      int // 0-based slot: Instances index, record and metrics index
+	start    float64
+	seed     int64
+	seedNode int // the process whose core is seeded with the root
+	w        workload
+	ref      bnb.Result      // the sequential reference (RunInstances only)
+	met      *metrics.System // the instance's per-process breakdowns and counters
+}
+
+// rngSeed derives the RNG stream of the instance's context on process id
+// (sharded and multi-instance runs). It depends only on the run seed, the
+// instance and the process — not on the shard layout or on what other
+// instances do — which makes a context's stochastic choices shard-count and
+// isolation invariant.
+func (s *spec) rngSeed(cfgSeed int64, id int) int64 {
+	if s.id == 0 {
+		return sim.DeriveSeed(cfgSeed, id)
+	}
+	return sim.DeriveSeed(sim.DeriveSeed(cfgSeed^s.seed, 1_000_003+s.idx), id)
+}
+
+// rec is one shard's bookkeeping for one instance, folded over the shards
+// after the run.
+type rec struct {
+	expanded map[string]bool // tree nodes expanded at least once (shard-local)
+	union    *ctree.Table    // completions observed by this shard's processes
+	unionOps int
+	// completions counts complete() events across processes (a subproblem
+	// completed by k processes counts k times).
+	completions int
+	detected    int
+	firstDet    float64
+	lastDet     float64
+}
+
 // shardCtx is one shard's slice of the harness: the kernel and network the
 // shard's processes live on, plus every piece of bookkeeping the driver
 // mutates during the run. Nothing here is shared — a node only ever touches
@@ -82,28 +124,18 @@ type workload struct {
 // single-kernel mode is exactly one shardCtx with legacy set.
 type shardCtx struct {
 	h      *harness
-	idx    int
-	legacy bool // the bit-identical pre-sharding path (Config.Shards == 0)
+	legacy bool // the bit-identical pre-sharding path (Run with Shards == 0)
 	k      *sim.Kernel
 	nw     *sim.Network
-
-	expanded map[string]bool // tree nodes expanded at least once (shard-local)
-	keyBuf   []byte          // scratch for expansion-map keys
-	union    *ctree.Table    // completions observed by this shard's processes
-	unionOps int
-	// completions counts complete() events across processes (a subproblem
-	// completed by k processes counts k times).
-	completions int
-	detected    int
-	lastDet     float64
-	firstDet    float64
+	keyBuf []byte // scratch for expansion-map keys
+	recs   []rec  // per instance slot
 }
 
 // harness owns one simulated run.
 type harness struct {
 	cfg    Config
-	w      workload
-	mesh   *sim.Mesh // nil in legacy single-kernel mode
+	specs  []*spec
+	mesh   *sim.Mesh // nil on the serial single-kernel path
 	shards []*shardCtx
 	// joins is the validated, time-sorted elastic-membership schedule;
 	// total is Procs plus every scheduled joiner. elastic marks runs with a
@@ -113,19 +145,96 @@ type harness struct {
 	joins   []Join
 	total   int
 	elastic bool
-	// k/nw alias shards[0] in legacy mode, for the membership machinery
+	// k/nw alias shards[0] on the serial path, for the membership machinery
 	// that only runs there.
 	k  *sim.Kernel
 	nw *sim.Network
 	// ring is the doubled process-id ring: node i's static peer view is
 	// ring[i+1 : i+procs] — every process but i, one shared backing array
-	// for all nodes instead of O(procs²) per-node cached views.
-	// Sharded mode only; the legacy path keeps its original per-node cache
-	// (same elements, different order) for bit-identical runs.
-	ring    []protocol.NodeID
-	nodes   []*node
+	// for all nodes instead of O(procs²) per-node cached views. The legacy
+	// path keeps its original per-node cache (same elements, different
+	// order) for bit-identical runs.
+	ring []protocol.NodeID
+	// nodes holds each process's contexts, one per instance slot; a
+	// scheduled joiner's entry stays nil until it enters.
+	nodes   [][]*node
+	muxes   []*instance.Mux // per process, multi-instance runs only
 	members []*member.Member
-	met     *metrics.System
+	end     float64 // virtual time the run stopped
+}
+
+// newHarness builds the substrate every instance shares: the legacy kernel
+// (Run with Shards == 0), a standalone serial network (RunInstances with
+// Shards == 0), or the sharded mesh; the network's fault model; and one
+// record per instance on every shard.
+func newHarness(cfg Config, specs []*spec) *harness {
+	h := &harness{cfg: cfg, specs: specs}
+	h.joins = normalizeJoins(cfg.Joins)
+	h.elastic = len(h.joins) > 0
+	h.total = cfg.Procs
+	for _, j := range h.joins {
+		h.total += j.Count
+	}
+
+	if S := shardCount(cfg); S >= 1 {
+		h.mesh = sim.NewMesh(cfg.Seed, S, cfg.Latency, shardLookahead(cfg))
+		h.mesh.PlaceBlocks(h.total)
+		h.shards = make([]*shardCtx, S)
+		for s := range h.shards {
+			h.shards[s] = &shardCtx{h: h, k: h.mesh.Kernel(s), nw: h.mesh.Net(s)}
+		}
+	} else {
+		h.k = sim.New(cfg.Seed)
+		if cfg.fireHook != nil {
+			h.k.SetFireHook(cfg.fireHook)
+		}
+		h.nw = sim.NewNetwork(h.k, cfg.Latency)
+		h.shards = []*shardCtx{{h: h, legacy: specs[0].id == 0, k: h.k, nw: h.nw}}
+	}
+
+	for _, sh := range h.shards {
+		sh.recs = make([]rec, len(specs))
+		for i, sp := range specs {
+			sh.recs[i].union = ctree.New()
+			sh.recs[i].expanded = make(map[string]bool, sp.w.sizeHint/len(h.shards)+1)
+		}
+		if cfg.LinkLatency != nil {
+			// Legacy serial kernel only (shardCount forces it), so no
+			// lookahead bound constrains the per-link delays.
+			sh.nw.SetLinkLatency(func(from, to sim.NodeID, bytes int) float64 {
+				return cfg.LinkLatency(int(from), int(to), bytes)
+			})
+		}
+		sh.nw.SetLoss(cfg.Loss)
+		// Unconditional, like SetLoss: a malformed probability (a sign typo
+		// for a knob the user believes is on) must panic, not silently run a
+		// well-behaved network.
+		sh.nw.SetDuplicate(cfg.Duplicate)
+		sh.nw.SetReorder(cfg.Reorder, cfg.ReorderWindow)
+		sh.nw.SetReplay(cfg.Replay, cfg.ReplayDelay)
+		for _, p := range cfg.Partitions {
+			ids := make([]sim.NodeID, len(p.Group))
+			for i, g := range p.Group {
+				ids[i] = sim.NodeID(g)
+			}
+			sh.nw.AddPartition(p.Start, p.End, ids)
+		}
+	}
+
+	if !h.shards[0].legacy && !h.elastic {
+		// The shared doubled ring backs the static views and the ring-range
+		// broadcast; elastic views are epoch-built per node.
+		h.ring = make([]protocol.NodeID, 2*cfg.Procs)
+		for i := 0; i < cfg.Procs; i++ {
+			h.ring[i] = protocol.NodeID(i)
+			h.ring[i+cfg.Procs] = protocol.NodeID(i)
+		}
+	}
+	h.nodes = make([][]*node, h.total)
+	if cfg.UseMembership {
+		h.members = make([]*member.Member, h.total)
+	}
+	return h
 }
 
 // shardOf returns the context owning process i.
@@ -187,9 +296,8 @@ func (h *harness) registerNode(n *node) {
 // quiescence and recover the root before the handshake completes.
 func (h *harness) spawnJoiner(id int) {
 	nid := sim.NodeID(id)
-	sh := h.shardOf(id)
-	n := newNode(nid, h, sh)
-	h.nodes[id] = n
+	n := newNode(nid, h, h.shardOf(id), h.specs[0])
+	h.nodes[id] = []*node{n}
 	if h.cfg.UseMembership {
 		h.members[id] = member.New(h.k, h.nw, nid, []sim.NodeID{0}, member.DefaultConfig())
 	}
@@ -198,11 +306,7 @@ func (h *harness) spawnJoiner(id int) {
 		h.members[id].Join()
 	}
 	n.core.NoteRemoteActivity(0)
-	jitter := n.rng.Float64()
-	n.reportTimer = n.k.After(jitter*h.cfg.ReportTimeout, n.reportTickFn)
-	if h.cfg.TableInterval > 0 {
-		n.tableTimer = n.k.After(jitter*h.cfg.TableInterval, n.tableTickFn)
-	}
+	n.startChains()
 	n.bootstrapTick()
 	n.loop()
 }
@@ -218,52 +322,6 @@ func (h *harness) rejoinMember(id sim.NodeID) {
 	h.members[id].Leave()
 	h.members[id] = member.New(h.k, h.nw, id, []sim.NodeID{0}, member.DefaultConfig())
 	h.members[id].Join()
-}
-
-// noteExpansion tracks redundant work: expansions of tree nodes some process
-// already expanded. The key is encoded into a reused scratch buffer; the
-// compiler elides the string conversion on lookup, so only first-time
-// expansions allocate (their map key). Sharded runs dedup within each shard
-// and merge the key sets after the run, so Result.Unique is exact; only the
-// per-node Redundant tallies become shard-local approximations there.
-func (sh *shardCtx) noteExpansion(n *node, c code.Code) {
-	sh.keyBuf = c.EncodeInto(sh.keyBuf)
-	if sh.expanded[string(sh.keyBuf)] {
-		n.met.Redundant++
-		return
-	}
-	sh.expanded[string(sh.keyBuf)] = true
-}
-
-// noteCompletion maintains the union of completion information; its peak
-// wire size is the "one shared copy" baseline against which replicated
-// storage is called redundant. Sampled for the same reason as observeTable.
-// Sharded runs keep per-shard unions (the metrics sink is shared, so
-// mid-run sampling is legacy-only) merged for the final observation.
-func (sh *shardCtx) noteCompletion(c code.Code) {
-	sh.completions++
-	sh.union.Insert(c)
-	sh.unionOps++
-	if sh.legacy && sh.unionOps%32 == 0 {
-		sh.h.met.ObserveUnique(sh.union.WireSize())
-	}
-}
-
-// noteTermination records a process's detection.
-func (sh *shardCtx) noteTermination(n *node) {
-	sh.detected++
-	now := sh.k.Now()
-	if sh.detected == 1 || now < sh.firstDet {
-		sh.firstDet = now
-	}
-	if now > sh.lastDet {
-		sh.lastDet = now
-	}
-	if sh.h.cfg.UseMembership {
-		// Leave the group so membership heartbeats quiesce; peers time the
-		// process out exactly as they would a failed one (§5.2).
-		sh.h.members[n.id].Leave()
-	}
 }
 
 // Run simulates the algorithm of §5 replaying the given basic tree and
@@ -385,83 +443,20 @@ func normalizeJoins(joins []Join) []Join {
 
 func run(cfg Config, w workload) Result {
 	cfg = cfg.withDefaults()
-	h := &harness{cfg: cfg, w: w}
-	h.joins = normalizeJoins(cfg.Joins)
-	h.elastic = len(h.joins) > 0
-	h.total = cfg.Procs
-	for _, j := range h.joins {
-		h.total += j.Count
-	}
-	h.met = metrics.NewSystem(h.total)
+	sp := &spec{w: w}
+	h := newHarness(cfg, []*spec{sp})
+	sp.met = metrics.NewSystem(h.total)
 
-	if S := shardCount(cfg); S >= 1 {
-		h.mesh = sim.NewMesh(cfg.Seed, S, cfg.Latency, shardLookahead(cfg))
-		h.mesh.PlaceBlocks(h.total)
-		h.shards = make([]*shardCtx, S)
-		for s := 0; s < S; s++ {
-			h.shards[s] = &shardCtx{
-				h: h, idx: s, k: h.mesh.Kernel(s), nw: h.mesh.Net(s),
-				union:    ctree.New(),
-				expanded: make(map[string]bool, w.sizeHint/S+1),
-			}
-		}
-		if !h.elastic {
-			// The shared doubled ring backs the static sharded views and the
-			// ring-range broadcast; elastic views are epoch-built per node.
-			h.ring = make([]protocol.NodeID, 2*cfg.Procs)
-			for i := 0; i < cfg.Procs; i++ {
-				h.ring[i] = protocol.NodeID(i)
-				h.ring[i+cfg.Procs] = protocol.NodeID(i)
-			}
-		}
-	} else {
-		h.k = sim.New(cfg.Seed)
-		if cfg.fireHook != nil {
-			h.k.SetFireHook(cfg.fireHook)
-		}
-		h.nw = sim.NewNetwork(h.k, cfg.Latency)
-		h.shards = []*shardCtx{{
-			h: h, legacy: true, k: h.k, nw: h.nw,
-			union:    ctree.New(),
-			expanded: make(map[string]bool, w.sizeHint),
-		}}
-	}
-
-	for _, sh := range h.shards {
-		if cfg.LinkLatency != nil {
-			// Legacy serial kernel only (shardCount forces it), so no
-			// lookahead bound constrains the per-link delays.
-			sh.nw.SetLinkLatency(func(from, to sim.NodeID, bytes int) float64 {
-				return cfg.LinkLatency(int(from), int(to), bytes)
-			})
-		}
-		sh.nw.SetLoss(cfg.Loss)
-		// Unconditional, like SetLoss: a malformed probability (a sign typo
-		// for a knob the user believes is on) must panic, not silently run a
-		// well-behaved network.
-		sh.nw.SetDuplicate(cfg.Duplicate)
-		sh.nw.SetReorder(cfg.Reorder, cfg.ReorderWindow)
-		sh.nw.SetReplay(cfg.Replay, cfg.ReplayDelay)
-		for _, p := range cfg.Partitions {
-			ids := make([]sim.NodeID, len(p.Group))
-			for i, g := range p.Group {
-				ids[i] = sim.NodeID(g)
-			}
-			sh.nw.AddPartition(p.Start, p.End, ids)
-		}
-	}
-
-	h.nodes = make([]*node, h.total)
-	if cfg.UseMembership {
-		h.members = make([]*member.Member, h.total)
-	}
+	one := make([]*node, cfg.Procs) // one backing array for every process's single context
 	for i := 0; i < cfg.Procs; i++ {
 		id := sim.NodeID(i)
-		h.nodes[i] = newNode(id, h, h.shardOf(i))
+		n := newNode(id, h, h.shardOf(i), sp)
+		one[i] = n
+		h.nodes[i] = one[i : i+1 : i+1]
 		if cfg.UseMembership {
 			h.members[i] = member.New(h.k, h.nw, id, []sim.NodeID{0}, member.DefaultConfig())
 		}
-		h.registerNode(h.nodes[i])
+		h.registerNode(n)
 		if cfg.UseMembership {
 			h.members[i].Join()
 		}
@@ -474,34 +469,60 @@ func run(cfg Config, w workload) Result {
 		for c := 0; c < j.Count; c++ {
 			id := nextID
 			nextID++
-			sh := h.shardOf(id)
-			at := j.Time
-			sh.k.At(at, func() { h.spawnJoiner(id) })
+			h.shardOf(id).k.At(j.Time, func() { h.spawnJoiner(id) })
 		}
 	}
 
 	// Process 0 starts with the original problem; everyone else pulls work
 	// through the load-balancing mechanism.
-	h.nodes[0].core.Seed(h.nodes[0].exp.Root())
-
-	for i := 0; i < cfg.Procs; i++ {
-		n := h.nodes[i]
-		// Stagger periodic timers so they do not synchronize system-wide.
-		// The handles are kept so a crash before the first tick can cancel
-		// the boot chain — a restart starts a fresh one. (Joiners get the
-		// same treatment in spawnJoiner, at join time.)
-		jitter := n.rng.Float64()
-		n.reportTimer = n.k.At(jitter*cfg.ReportTimeout, n.reportTickFn)
-		if cfg.TableInterval > 0 {
-			n.tableTimer = n.k.At(jitter*cfg.TableInterval, n.tableTickFn)
-		}
+	one[0].core.Seed(one[0].exp.Root())
+	for _, n := range one {
+		n.startChains()
 		n.k.At(0, n.loop)
 	}
 
-	for _, c := range cfg.Crashes {
+	h.run()
+	ir := h.fold(sp)
+	res := Result{
+		Terminated:  ir.Terminated,
+		Time:        ir.Time,
+		FirstDetect: ir.FirstDetect,
+		Optimum:     ir.Optimum,
+		OptimumOK:   ir.OptimumOK,
+		Expanded:    ir.Expanded,
+		Unique:      ir.Unique,
+		Redundant:   ir.Redundant,
+		DetectTimes: ir.DetectTimes,
+		Completions: ir.Completions,
+		Met:         sp.met,
+	}
+	res.Events, res.Shards, res.Net = h.totals()
+	for _, ns := range h.nodes[cfg.Procs:] {
+		if ns != nil {
+			res.Joined++
+		}
+	}
+	return res
+}
+
+// run schedules the failure plan and runs the kernel to completion. Crash
+// Instance 0 — and every crash of a single-instance run — fails the whole
+// process: its network endpoint and every instance it hosts. Instance k > 0
+// fails only that instance's context, leaving the endpoint and the
+// process's other instances running.
+func (h *harness) run() {
+	multi := h.specs[0].id != 0
+	for _, c := range h.cfg.Crashes {
 		c := c
 		if c.Node < 0 || c.Node >= h.total {
 			continue
+		}
+		slot := -1 // the whole process
+		if multi {
+			if c.Instance < 0 || c.Instance > len(h.specs) {
+				continue
+			}
+			slot = c.Instance - 1
 		}
 		// Failure events live on the failing process's own shard: crash
 		// state is owned by the shard's network, like every delivery check.
@@ -510,8 +531,10 @@ func run(cfg Config, w workload) Result {
 		// network, exactly like crashing a process that never booted.
 		sh := h.shardOf(c.Node)
 		sh.k.At(c.Time, func() {
-			sh.nw.Crash(sim.NodeID(c.Node))
-			if n := h.nodes[c.Node]; n != nil {
+			if slot < 0 {
+				sh.nw.Crash(sim.NodeID(c.Node))
+			}
+			for _, n := range h.scope(c.Node, slot) {
 				n.crash()
 			}
 		})
@@ -520,91 +543,99 @@ func run(cfg Config, w workload) Result {
 			// rebuilds from gossip. Restore first so the rejoin traffic the
 			// restart triggers is not swallowed by its own crashed mark.
 			sh.k.At(c.Restart, func() {
-				sh.nw.Restore(sim.NodeID(c.Node))
-				if n := h.nodes[c.Node]; n != nil {
+				if slot < 0 {
+					sh.nw.Restore(sim.NodeID(c.Node))
+				}
+				for _, n := range h.scope(c.Node, slot) {
 					n.restart()
 				}
 			})
 		}
 	}
-
-	var end float64
 	if h.mesh != nil {
-		end = h.mesh.Run(cfg.MaxTime)
+		h.end = h.mesh.Run(h.cfg.MaxTime)
 	} else {
-		end = h.k.Run(cfg.MaxTime)
+		h.end = h.k.Run(h.cfg.MaxTime)
 	}
+}
 
-	// Fold the per-shard detection records together.
-	detected, completions := 0, 0
-	firstDet, lastDet := 0.0, 0.0
+// scope returns the contexts a crash hits on process i: all of them, or
+// instance slot's alone.
+func (h *harness) scope(i, slot int) []*node {
+	if slot < 0 {
+		return h.nodes[i]
+	}
+	return h.nodes[i][slot : slot+1]
+}
+
+// totals returns the run's event count, shard count (0 = serial kernel) and
+// network counters.
+func (h *harness) totals() (uint64, int, sim.NetStats) {
+	if h.mesh != nil {
+		return h.mesh.Events(), len(h.shards), h.mesh.Stats()
+	}
+	return h.k.Events(), 0, h.nw.Stats()
+}
+
+// fold assembles one instance's result from its nodes and the per-shard
+// records.
+func (h *harness) fold(sp *spec) InstanceResult {
+	ir := InstanceResult{
+		ID:          sp.id,
+		Start:       sp.start,
+		Optimum:     math.Inf(1),
+		SeqOptimum:  sp.w.trueOpt,
+		SeqExpanded: sp.ref.Expanded,
+		DetectTimes: make([]float64, len(h.nodes)),
+		Terminated:  true,
+	}
+	detected := 0
 	for _, sh := range h.shards {
-		if sh.detected > 0 {
-			if detected == 0 || sh.firstDet < firstDet {
-				firstDet = sh.firstDet
+		r := &sh.recs[sp.idx]
+		if r.detected > 0 {
+			if detected == 0 || r.firstDet < ir.FirstDetect {
+				ir.FirstDetect = r.firstDet
 			}
-			if sh.lastDet > lastDet {
-				lastDet = sh.lastDet
+			if r.lastDet > ir.Time {
+				ir.Time = r.lastDet
 			}
-			detected += sh.detected
+			detected += r.detected
 		}
-		completions += sh.completions
+		ir.Completions += r.completions
 	}
 	// Leftover staggered timer events can outlive the computation; clamp the
 	// trace window to when the run actually finished.
-	traceEnd := end
-	if detected > 0 && lastDet < traceEnd {
-		traceEnd = lastDet
-	}
-
-	res := Result{
-		Time:        lastDet,
-		FirstDetect: firstDet,
-		Optimum:     math.Inf(1),
-		DetectTimes: make([]float64, h.total),
-		Met:         h.met,
-		Completions: completions,
-		Shards:      len(h.shards),
-	}
-	if h.mesh != nil {
-		res.Net = h.mesh.Stats()
-		res.Events = h.mesh.Events()
-	} else {
-		res.Net = h.nw.Stats()
-		res.Events = h.k.Events()
-		res.Shards = 0
+	traceEnd := h.end
+	if detected > 0 && ir.Time < traceEnd {
+		traceEnd = ir.Time
 	}
 	// Distinct expansions: exact in both modes — shard-local dedup sets are
 	// merged here, after the run.
 	if len(h.shards) == 1 {
-		res.Unique = len(h.shards[0].expanded)
+		ir.Unique = len(h.shards[0].recs[sp.idx].expanded)
 	} else {
 		total := 0
 		for _, sh := range h.shards {
-			total += len(sh.expanded)
+			total += len(sh.recs[sp.idx].expanded)
 		}
 		seen := make(map[string]bool, total)
 		for _, sh := range h.shards {
-			for k := range sh.expanded {
+			for k := range sh.recs[sp.idx].expanded {
 				seen[k] = true
 			}
 		}
-		res.Unique = len(seen)
+		ir.Unique = len(seen)
 	}
-	trueOpt := h.w.trueOpt
-	res.Terminated = true
 	anyDetected := false
-	for i, n := range h.nodes {
-		if n == nil {
+	for i, ns := range h.nodes {
+		if ns == nil {
 			// A scheduled joiner that never entered (its join time lay beyond
 			// the run): it never participated, so like a crashed process it
 			// neither counts toward nor blocks termination.
-			res.DetectTimes[i] = math.NaN()
+			ir.DetectTimes[i] = math.NaN()
 			continue
 		}
-		if i >= cfg.Procs {
-			res.Joined++
-		}
+		n := ns[sp.idx]
 		// Fold the core's protocol-event tallies into the metrics. The
 		// driver accounts only what the substrate defines (time splits,
 		// storage peaks, expansions it paid for); event counts are the
@@ -622,28 +653,31 @@ func run(cfg Config, w workload) Result {
 		n.met.PeakPool = cnt.PeakPool
 		switch {
 		case n.crashed:
-			res.DetectTimes[i] = math.NaN()
-			cfg.Trace.Add(i, trace.Dead, n.crashedAt, traceEnd)
+			ir.DetectTimes[i] = math.NaN()
+			h.cfg.Trace.Add(i, trace.Dead, n.crashedAt, traceEnd)
 		case n.done:
-			res.DetectTimes[i] = n.detectedAt
+			ir.DetectTimes[i] = n.detectedAt
 			anyDetected = true
-			if opt := n.core.Incumbent(); opt < res.Optimum {
-				res.Optimum = opt
+			if opt := n.core.Incumbent(); opt < ir.Optimum {
+				ir.Optimum = opt
 			}
 		default:
-			res.DetectTimes[i] = math.Inf(1)
-			res.Terminated = false
+			ir.DetectTimes[i] = math.Inf(1)
+			ir.Terminated = false
 		}
-		res.Expanded += n.met.Expanded
+		ir.Expanded += n.met.Expanded
 	}
-	res.Terminated = res.Terminated && anyDetected
-	res.Redundant = res.Expanded - res.Unique
-	res.OptimumOK = res.Terminated && res.Optimum == trueOpt
-	// Final storage observations (peaks may have been missed by sampling).
-	union := h.shards[0].union
+	ir.Terminated = ir.Terminated && anyDetected
+	ir.Redundant = ir.Expanded - ir.Unique
+	ir.OptimumOK = ir.Terminated && ir.Optimum == sp.w.trueOpt
+	agg := sp.met.AggregateBreakdown()
+	ir.Work = agg.Work()
+	ir.Overhead = agg.Overhead()
+	// Final storage observation (peaks may have been missed by sampling).
+	union := h.shards[0].recs[sp.idx].union
 	for _, sh := range h.shards[1:] {
-		union.Merge(sh.union)
+		union.Merge(sh.recs[sp.idx].union)
 	}
-	h.met.ObserveUnique(union.WireSize())
-	return res
+	sp.met.ObserveUnique(union.WireSize())
+	return ir
 }
