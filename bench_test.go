@@ -365,36 +365,25 @@ func BenchmarkRealQAPSim(b *testing.B) {
 }
 
 // BenchmarkReportBytes measures the wire cost of completion propagation on
-// the scaled Table 1 workload in both gossip modes, reporting it as a custom
-// wire-B/op metric that cmd/benchsnap snapshots and gates (-gate-bytes).
-// The run is fully seeded, so the metric is exact, machine-independent, and
-// the diff-mode byte reduction stays a recorded artifact rather than a
-// one-off measurement.
+// the scaled Table 1 workload, reporting it as a custom wire-B/op metric that
+// cmd/benchsnap snapshots and gates (-gate-bytes). The run is fully seeded,
+// so the metric is exact and machine-independent.
 func BenchmarkReportBytes(b *testing.B) {
 	w := exp.ScaledLargeWorkload(1, 8001)
-	for _, mode := range []struct {
-		name string
-		diff bool
-	}{{"mode=frontier", false}, {"mode=diff", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			var wire int64
-			for i := 0; i < b.N; i++ {
-				res := Run(w.Tree, SimConfig{
-					Procs: 100, Seed: 1, RecoveryQuiet: 120, DiffGossip: mode.diff,
-				})
-				if !res.Terminated || !res.OptimumOK {
-					b.Fatal("benchmark run failed to terminate at the optimum")
-				}
-				wire += res.Net.KindBytes[protocol.KindReport] +
-					res.Net.KindBytes[protocol.KindTable] +
-					res.Net.KindBytes[protocol.KindDigestReport] +
-					res.Net.KindBytes[protocol.KindSubtreeRequest] +
-					res.Net.KindBytes[protocol.KindSubtreeReply]
+	b.Run("mode=frontier", func(b *testing.B) {
+		var wire int64
+		for i := 0; i < b.N; i++ {
+			res := Run(w.Tree, SimConfig{Procs: 100, Seed: 1, RecoveryQuiet: 120})
+			if !res.Terminated || !res.OptimumOK {
+				b.Fatal("benchmark run failed to terminate at the optimum")
 			}
-			b.ReportMetric(float64(wire)/float64(b.N), "wire-B/op")
-		})
-	}
+			wire += res.Net.KindBytes[protocol.KindReport] +
+				res.Net.KindBytes[protocol.KindTable] +
+				res.Net.KindBytes[protocol.KindSubtreeRequest] +
+				res.Net.KindBytes[protocol.KindSubtreeReply]
+		}
+		b.ReportMetric(float64(wire)/float64(b.N), "wire-B/op")
+	})
 }
 
 func benchName(prefix string, n int) string {

@@ -220,7 +220,6 @@ func run() int {
 		dup      = flag.Float64("dup", 0, "message duplication probability")
 		reorder  = flag.Float64("reorder", 0, "message reordering probability (bounded hold-back)")
 		replay   = flag.Float64("replay", 0, "stale-replay probability (~1 s late)")
-		diffG    = flag.Bool("diffgossip", false, "anti-entropy diff gossip: digests + subtree pulls instead of full frontiers")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile (post-run, after GC) to this file")
 		insts    = flag.Int("instances", 0, "multi-instance mode: solve this many concurrent knapsack instances over one cluster")
@@ -307,7 +306,6 @@ func run() int {
 		Duplicate:     *dup,
 		Reorder:       *reorder,
 		Replay:        *replay,
-		DiffGossip:    *diffG,
 		Partitions:    nemeses.parts,
 		Trace:         lg,
 	}

@@ -30,7 +30,6 @@ func main() {
 		central = flag.Bool("central", false, "centralized manager-worker baseline (§3)")
 		membr   = flag.Bool("member", false, "membership protocol under churn (§5.2)")
 		ablate  = flag.String("ablation", "", "ablation: report, recovery, compress, select, or adaptive")
-		diffb   = flag.Bool("diffbytes", false, "anti-entropy diff gossip vs full-frontier wire bytes")
 		all     = flag.Bool("all", false, "run everything")
 		seed    = flag.Int64("seed", 1, "deterministic seed")
 		quick   = flag.Bool("quick", false, "smaller sweeps for Table 1 / Figure 4")
@@ -101,10 +100,6 @@ func main() {
 	if *all || *membr {
 		section("Membership protocol")
 		exp.RenderMembership(out, exp.Membership(*seed))
-	}
-	if *all || *diffb {
-		section("Diff gossip: wire bytes")
-		exp.RenderDiffBytes(out, exp.DiffBytes(*seed))
 	}
 	if *all || *ablate == "report" {
 		section("Ablation: report policy")

@@ -259,28 +259,6 @@ func (t *Table) Contains(c code.Code) bool {
 	return n.complete
 }
 
-// Covering returns the contraction of c in the table: the code of the
-// shallowest completed node on c's path — the ancestor (or c itself) whose
-// completion subsumes everything under it. ok is false when c is not
-// contained. The result is a prefix of c and aliases its storage; callers
-// must treat it as immutable.
-func (t *Table) Covering(c code.Code) (code.Code, bool) {
-	n := t.root
-	for i, d := range c {
-		if n.complete {
-			return c[:i:i], true
-		}
-		if !n.hasChild[d.Branch&1] || n.branchVar != d.Var {
-			return nil, false
-		}
-		n = n.children[d.Branch&1]
-	}
-	if n.complete {
-		return c, true
-	}
-	return nil, false
-}
-
 // Codes returns the contracted frontier: the minimal set of codes whose
 // completion implies everything the table knows. This is exactly what a
 // process sends when it gossips its whole table. Order is deterministic
@@ -310,7 +288,7 @@ func (t *Table) appendFrontier(out []code.Code) []code.Code {
 // appendFrontierFrom is appendFrontier generalized to the subtree rooted at
 // start: codes are emitted relative to start's position. If max > 0 the walk
 // aborts once more than max codes would be emitted and reports ok = false —
-// the anti-entropy responder uses this to decide between inlining a small
+// the bootstrap responder uses this to decide between inlining a small
 // subtree's codes and descending another level of the digest walk.
 func (t *Table) appendFrontierFrom(start *node, out []code.Code, max int) (_ []code.Code, ok bool) {
 	t.scratch = t.scratch[:0]

@@ -6,8 +6,8 @@ import (
 	"gossipbnb/internal/code"
 )
 
-// Content-addressed digests over the completion trie, the foundation of the
-// protocol's anti-entropy diff gossip (DESIGN.md "Anti-entropy diff gossip").
+// Content-addressed digests over the completion trie, which guide the
+// protocol's table bootstrap walk (DESIGN.md "Table bootstrap").
 //
 // Contraction makes the trie canonical: every leaf is complete, so the trie's
 // shape and completion marks are a pure function of the frontier set — two
@@ -106,9 +106,9 @@ func (t *Table) DigestAt(prefix code.Code) (digest uint64, known, complete bool)
 	return t.digestOf(n), true, n.complete
 }
 
-// ChildDigest describes one branch of a trie vertex to an anti-entropy
-// walker: whether the branch holds any completions, and the digest of its
-// subtree if so.
+// ChildDigest describes one branch of a trie vertex to a bootstrap walker:
+// whether the branch holds any completions, and the digest of its subtree if
+// so.
 type ChildDigest struct {
 	Present bool
 	Digest  uint64

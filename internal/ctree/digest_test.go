@@ -1,7 +1,7 @@
 package ctree
 
 // Property tests for the content-addressed digest layer and the subtree
-// export/import used by anti-entropy diff gossip: incremental digests must
+// export/import used by the table bootstrap walk: incremental digests must
 // equal a from-scratch recompute after arbitrary mutation sequences, digest
 // equality must coincide with frontier equality, and the subtree wire format
 // must reject malformed and padded input like Decode does.
@@ -259,55 +259,5 @@ func TestDigestEmptyAndComplete(t *testing.T) {
 	}
 	if empty.Digest() == done.Digest() {
 		t.Fatal("empty and complete tables share a digest")
-	}
-}
-
-// covers reports whether p is a prefix of c (equal or proper ancestor).
-func covers(p, c code.Code) bool {
-	return p.Equal(c) || p.IsAncestorOf(c)
-}
-
-// TestPropCoveringMatchesFrontier pins Covering — the query the
-// merge-forward relay is built on — to its specification: after any insert
-// sequence, Covering(c) returns exactly the frontier code that is a prefix
-// of c (inserted content is always covered, never-inserted siblings are
-// covered only once contraction absorbed them).
-func TestPropCoveringMatchesFrontier(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		r := rand.New(rand.NewSource(seed))
-		leaves := randTree(r, 8)
-		tbl := New()
-		for step := 0; step < 30; step++ {
-			c := leaves[r.Intn(len(leaves))]
-			if _, err := tbl.Insert(c); err != nil {
-				t.Fatalf("seed %d: insert: %v", seed, err)
-			}
-			frontier := tbl.Codes()
-			for _, probe := range leaves {
-				cov, ok := tbl.Covering(probe)
-				var want code.Code
-				found := false
-				for _, f := range frontier {
-					if covers(f, probe) {
-						want, found = f, true
-						break
-					}
-				}
-				if ok != found {
-					t.Fatalf("seed %d step %d: Covering(%v) ok=%v, frontier says %v",
-						seed, step, probe, ok, found)
-				}
-				if ok && !cov.Equal(want) {
-					t.Fatalf("seed %d step %d: Covering(%v) = %v, want frontier code %v",
-						seed, step, probe, cov, want)
-				}
-			}
-			// Relay invariant: content this table accepted is always covered.
-			cov, ok := tbl.Covering(c)
-			if !ok || !covers(cov, c) {
-				t.Fatalf("seed %d step %d: inserted %v not covered (ok=%v cov=%v)",
-					seed, step, c, ok, cov)
-			}
-		}
 	}
 }

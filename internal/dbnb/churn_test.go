@@ -195,23 +195,3 @@ func TestJoinAfterTermination(t *testing.T) {
 		t.Errorf("post-termination joiner expanded %d nodes, want 0", res.Met.Nodes[2].Expanded)
 	}
 }
-
-// TestJoinDiffGossipBootstrap: in diff-gossip mode the joiner's bootstrap is
-// the same Full-root subtree pull; the run keeps the optimum and the joiners
-// participate.
-func TestJoinDiffGossipBootstrap(t *testing.T) {
-	tr := churnTree(23)
-	res := Run(tr, Config{
-		Procs:      4,
-		Seed:       3,
-		DiffGossip: true,
-		Joins:      []Join{{Time: 15, Count: 4}},
-	})
-	mustTerminate(t, res)
-	if res.Joined != 4 {
-		t.Fatalf("Joined = %d, want 4", res.Joined)
-	}
-	if res.Redundant > res.Unique/5 {
-		t.Errorf("redundant work %d exceeds the envelope (unique %d)", res.Redundant, res.Unique)
-	}
-}

@@ -119,14 +119,6 @@ type Config struct {
 	// derived from the uniform model's floor).
 	LinkLatency func(from, to int, bytes int) float64
 
-	// DiffGossip switches the report path to anti-entropy diff gossip:
-	// reports carry the completion table's content digest plus the recent
-	// delta; a receiver whose digest differs walks the sender's per-subtree
-	// digests and pulls only the missing regions, instead of everyone
-	// periodically pushing full-table frontiers. Default off — the legacy
-	// full-frontier path, pinned bit-identical by the golden tests.
-	DiffGossip bool
-
 	// Adversarial delivery — the full asynchronous model of §4, beyond the
 	// loss-only network of the paper's own experiments. Duplicate is the
 	// independent probability a message is delivered twice (the copy draws

@@ -139,7 +139,7 @@ func (s nodeSender) Send(to protocol.NodeID, m protocol.Msg) {
 	over := n.h.cfg.CommOverhead
 	switch m.(type) {
 	case protocol.Report, protocol.TableMsg,
-		protocol.DigestReport, protocol.SubtreeRequest, protocol.SubtreeReply:
+		protocol.SubtreeRequest, protocol.SubtreeReply:
 		n.met.Add(metrics.Comm, over)
 	case protocol.WorkRequest, protocol.WorkGrant, protocol.WorkDeny:
 		n.met.Add(metrics.LB, over)
@@ -230,7 +230,6 @@ func (n *node) initCore() {
 		RecoveryPatience: cfg.RecoveryPatience,
 		RecoveryQuiet:    cfg.RecoveryQuiet,
 		DisableRecovery:  cfg.DisableRecovery,
-		DiffGossip:       cfg.DiffGossip,
 	}, protocol.Deps{
 		Clock:         n.k,
 		Sender:        nodeSender{n},
@@ -607,9 +606,6 @@ func (n *node) drainInbox() {
 			contractCost += cfg.ContractPerCode * float64(len(t.Codes))
 		case protocol.TableMsg:
 			contractCost += cfg.ContractPerCode * float64(len(t.Codes))
-		case protocol.DigestReport:
-			// Merging the delta plus one digest comparison.
-			contractCost += cfg.ContractPerCode * float64(len(t.Codes)+1)
 		case protocol.SubtreeRequest:
 			// One trie descent to the requested prefix.
 			contractCost += cfg.ContractPerCode

@@ -112,30 +112,26 @@ func newDetector(inc *incarnation) *detector {
 	return d
 }
 
-// ensure returns the tracking entry for id, creating it alive-as-of-now for
-// peers learned mid-run (join gossip spreads the view faster than tick
-// re-scans it).
-func (d *detector) ensure(id NodeID) *peerHealth {
-	p := d.peers[id]
-	if p == nil {
-		now := time.Now()
-		p = &peerHealth{lastHeard: now, lastSent: now}
-		d.peers[id] = p
-	}
-	return p
-}
-
 // heard records evidence of life: an envelope arrived from the peer. Called
 // at the top of handle for every delivery, before any protocol routing — a
 // corrupted or otherwise undecodable frame never gets here, so evidence is
 // only ever a frame that passed integrity. Recoveries happen here: a suspect
 // is cleared, an excluded peer is re-absorbed — back into the view, link
 // suppression lifted, and its next Welcome flagged to bootstrap the table.
+//
+// Only tracked peers are updated: a sender ID is just a field of the
+// envelope, and tracking every ID that shows up would let forged senders
+// grow the peer map (and, through exclusion, the transport's link
+// suppression) without bound. A genuine joiner enters the view through the
+// Hello/Welcome handshake, and tick starts tracking it from there.
 func (d *detector) heard(from NodeID) {
-	if d == nil || from == d.inc.n.id {
+	if d == nil {
 		return
 	}
-	p := d.ensure(from)
+	p := d.peers[from]
+	if p == nil {
+		return
+	}
 	switch p.state {
 	case peerSuspect:
 		p.state = peerAlive
@@ -153,14 +149,16 @@ func (d *detector) heard(from NodeID) {
 	p.lastHeard = time.Now()
 }
 
-// noteSent records outbound traffic toward a peer, so heartbeats only fill
-// links the protocol leaves idle. Called from the core's sender on the same
-// goroutine.
+// noteSent records outbound traffic toward a tracked peer, so heartbeats
+// only fill links the protocol leaves idle. Called from the core's sender on
+// the same goroutine.
 func (d *detector) noteSent(to NodeID) {
-	if d == nil || to == d.inc.n.id {
+	if d == nil {
 		return
 	}
-	d.ensure(to).lastSent = time.Now()
+	if p := d.peers[to]; p != nil {
+		p.lastSent = time.Now()
+	}
 }
 
 // rejoining consumes the bootstrap flag for a re-absorbed peer: true means
@@ -193,11 +191,13 @@ func (d *detector) tick() {
 	}
 	d.nextTick = now.Add(pace)
 
-	// The view can gain members between ticks (join gossip); make sure every
-	// current peer is tracked before scanning. Excluded peers left the view
-	// but stay in the map — that is where their probe cadence lives.
+	// The view can gain members between ticks (join gossip); start tracking
+	// every new one, alive as of now, before scanning. Excluded peers left
+	// the view but stay in the map — that is where their probe cadence lives.
 	for _, p := range n.peers() {
-		d.ensure(NodeID(p))
+		if d.peers[NodeID(p)] == nil {
+			d.peers[NodeID(p)] = &peerHealth{lastHeard: now, lastSent: now}
+		}
 	}
 	for id, p := range d.peers {
 		if cl.tr.Crashed(id) {

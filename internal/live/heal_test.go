@@ -1,6 +1,7 @@
 package live
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -289,6 +290,48 @@ func TestSuspectExclusionSuppression(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("restored link delivered nothing")
+	}
+}
+
+// TestSuspectIgnoresUnknownSenders floods node 0 with Pings from 1,000 IDs
+// that are not cluster members. A sender ID is only an envelope field, so
+// the detector must not start tracking, suspecting or excluding those IDs:
+// its state stays bounded by the view, whatever peers claim to be.
+func TestSuspectIgnoresUnknownSenders(t *testing.T) {
+	const forged = 1000
+	tr := NewTransport(36, nil, 0)
+	var mu sync.Mutex
+	var reported []DetectEvent
+	cl := NewCluster(liveTree(36, 201), Config{
+		Nodes: 2, Seed: 36, TimeScale: 0.001,
+		Network:      tr,
+		SuspectAfter: 10 * time.Millisecond,
+		ExcludeAfter: 30 * time.Millisecond,
+		Linger:       150 * time.Millisecond,
+		Timeout:      30 * time.Second,
+		OnDetect: func(ev DetectEvent) {
+			if ev.Peer >= forged {
+				mu.Lock()
+				reported = append(reported, ev)
+				mu.Unlock()
+			}
+		},
+	})
+	// The inboxes exist from construction, so the flood is queued ahead of
+	// node 0's first loop turn and the Linger window gives the detector
+	// many ticks past SuspectAfter to act on it.
+	for id := NodeID(forged); id < 2*forged; id++ {
+		tr.Send(id, 0, protocol.Ping{Incumbent: math.Inf(1)})
+	}
+	res := cl.Run()
+	if !res.Terminated || !res.OptimumOK {
+		t.Fatalf("run failed: %+v", res)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(reported) > 0 {
+		t.Errorf("detector reported %d transitions for non-member IDs, first %+v",
+			len(reported), reported[0])
 	}
 }
 

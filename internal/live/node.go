@@ -45,9 +45,6 @@ type Config struct {
 	RecoveryPatience int
 	RetryDelay       time.Duration
 	RecoveryQuiet    time.Duration
-	// DiffGossip switches the report path to anti-entropy diff gossip, as in
-	// the simulator's knob: digests plus deltas instead of full frontiers.
-	DiffGossip bool
 	// Timeout bounds Run's wall-clock time.
 	Timeout time.Duration
 	// Linger keeps a fully terminated cluster running this much longer
@@ -374,7 +371,6 @@ func (cl *Cluster) newCore(inc *incarnation, exp protocol.Expander, id protocol.
 		MaxShare:         cfg.MaxShare,
 		RecoveryPatience: cfg.RecoveryPatience,
 		RecoveryQuiet:    cfg.RecoveryQuiet.Seconds(),
-		DiffGossip:       cfg.DiffGossip,
 	}, protocol.Deps{
 		Clock:     cl.clock,
 		Sender:    instSender{inc, id},

@@ -1,9 +1,8 @@
 package protocol
 
-// Two-core tests for the anti-entropy diff-gossip exchange: digest walks must
-// converge divergent tables, descend only into differing subtrees, respect
-// the rate limit, tolerate duplicated and replayed traffic, and fall back to
-// the legacy root report for termination.
+// Two-core tests for the Bootstrap table pull: the digest walk must converge
+// divergent tables, descend only into differing subtrees, and tolerate
+// duplicated and replayed traffic.
 
 import (
 	"testing"
@@ -19,12 +18,12 @@ type syncPair struct {
 	sa, sb *fakeSender
 }
 
-func newSyncPair(t *testing.T, depth int, cfg Config) *syncPair {
+func newSyncPair(t *testing.T, depth int) *syncPair {
 	t.Helper()
 	p := &syncPair{tree: fakeTree{depth: depth}}
 	p.sa, p.sb = &fakeSender{}, &fakeSender{}
 	mk := func(id NodeID, snd *fakeSender, peer NodeID) *Core {
-		return New(id, cfg, Deps{
+		return New(id, Config{}, Deps{
 			Clock:    &p.clk,
 			Sender:   snd,
 			Expander: p.tree,
@@ -97,11 +96,11 @@ func (p *syncPair) tablesEqual() bool {
 	return true
 }
 
-// TestDiffGossipSyncBootstrap: a bare digest push to an empty core (the
-// restart-rejoin case) triggers a Full root request answered by the whole
-// frontier in one uncapped leaf reply.
-func TestDiffGossipSyncBootstrap(t *testing.T) {
-	p := newSyncPair(t, 6, Config{DiffGossip: true, SyncInterval: 1})
+// TestBootstrapEmptyTable: an empty core (a joiner) bootstrapping from a
+// peer sends one Full root request, answered by the whole frontier in one
+// uncapped leaf reply.
+func TestBootstrapEmptyTable(t *testing.T) {
+	p := newSyncPair(t, 6)
 	leaves := fakeLeaves(6)
 	var half []code.Code
 	for i := 0; i < len(leaves); i += 2 {
@@ -112,7 +111,7 @@ func TestDiffGossipSyncBootstrap(t *testing.T) {
 		t.Fatalf("seeded %d codes, table holds %d", len(half), p.a.Table().Len())
 	}
 
-	p.a.SendTable(1)
+	p.b.Bootstrap(0)
 	relayed := p.pump(t)
 
 	if !p.tablesEqual() {
@@ -142,11 +141,11 @@ func TestDiffGossipSyncBootstrap(t *testing.T) {
 	}
 }
 
-// TestDiffGossipSyncWalkDescends: a receiver that already shares half the
-// sender's table must descend past the root branch digests and pull only the
-// missing half — never requesting the subtree it already agrees on.
-func TestDiffGossipSyncWalkDescends(t *testing.T) {
-	p := newSyncPair(t, 8, Config{DiffGossip: true, SyncInterval: 1})
+// TestBootstrapWalkDescends: a core that already shares half its peer's
+// table must descend past the root branch digests and pull only the missing
+// half — never requesting the subtree it already agrees on.
+func TestBootstrapWalkDescends(t *testing.T) {
+	p := newSyncPair(t, 8)
 	leaves := fakeLeaves(8)
 	var sparse []code.Code
 	for i := 0; i < len(leaves); i += 2 {
@@ -162,10 +161,7 @@ func TestDiffGossipSyncWalkDescends(t *testing.T) {
 	}
 	p.b.HandleMessage(2, Report{Codes: shared})
 
-	// Step past the quiet gate: b's table just changed, and a core whose
-	// delta stream is still warm treats divergence as convergence lag.
-	p.clk.t = 2
-	p.a.SendTable(1)
+	p.b.Bootstrap(0)
 	relayed := p.pump(t)
 
 	if !p.tablesEqual() {
@@ -190,50 +186,18 @@ func TestDiffGossipSyncWalkDescends(t *testing.T) {
 	}
 }
 
-// TestDiffGossipSyncRateLimit: at most one walk per SyncInterval, no matter
-// how many divergent digests arrive.
-func TestDiffGossipSyncRateLimit(t *testing.T) {
-	p := newSyncPair(t, 5, Config{DiffGossip: true, SyncInterval: 5})
-	leaves := fakeLeaves(5)
-	p.a.HandleMessage(2, Report{Codes: leaves[:7]})
-	d := p.a.Table().Digest()
-
-	p.b.HandleMessage(0, DigestReport{Digest: d})
-	if n := len(p.sb.take()); n != 1 {
-		t.Fatalf("first divergent digest sent %d messages, want 1 subtree request", n)
-	}
-	// Still inside the interval: further divergent digests are ignored.
-	p.b.HandleMessage(0, DigestReport{Digest: d})
-	p.b.HandleMessage(0, DigestReport{Digest: d ^ 1})
-	if n := len(p.sb.take()); n != 0 {
-		t.Fatalf("rate-limited core sent %d messages, want 0", n)
-	}
-	// After the interval the next divergent digest walks again.
-	p.clk.t = 6
-	p.b.HandleMessage(0, DigestReport{Digest: d})
-	if n := len(p.sb.take()); n != 1 {
-		t.Fatalf("post-interval digest sent %d messages, want 1", n)
-	}
-	// An equal digest never walks, whatever the clock says.
-	p.clk.t = 100
-	p.b.HandleMessage(0, DigestReport{Digest: p.b.Table().Digest()})
-	if n := len(p.sb.take()); n != 0 {
-		t.Fatalf("equal digest sent %d messages, want 0", n)
-	}
-}
-
-// TestDiffGossipSyncIdempotent: duplicated requests and replayed stale
-// replies must not change a converged table — the exchange is a pull of
-// monotone completion facts, so at-least-once delivery is harmless.
-func TestDiffGossipSyncIdempotent(t *testing.T) {
-	p := newSyncPair(t, 6, Config{DiffGossip: true, SyncInterval: 1})
+// TestBootstrapIdempotent: duplicated requests and replayed stale replies
+// must not change a converged table — the exchange is a pull of monotone
+// completion facts, so at-least-once delivery is harmless.
+func TestBootstrapIdempotent(t *testing.T) {
+	p := newSyncPair(t, 6)
 	leaves := fakeLeaves(6)
 	var half []code.Code
 	for i := 0; i < len(leaves); i += 2 {
 		half = append(half, leaves[i])
 	}
 	p.a.HandleMessage(2, Report{Codes: half})
-	p.a.SendTable(1)
+	p.b.Bootstrap(0)
 	relayed := p.pump(t)
 	if !p.tablesEqual() {
 		t.Fatal("tables differ after sync")
@@ -253,48 +217,5 @@ func TestDiffGossipSyncIdempotent(t *testing.T) {
 	}
 	if !p.tablesEqual() {
 		t.Fatal("tables diverged under replay")
-	}
-}
-
-// TestDiffGossipTerminationFallback: a core solving in diff mode still
-// terminates stragglers with the legacy root report — the broadcast fallback
-// no digest walk is needed for.
-func TestDiffGossipTerminationFallback(t *testing.T) {
-	p := newSyncPair(t, 4, Config{DiffGossip: true, SyncInterval: 1})
-	root := p.tree.Root()
-	p.a.Seed(root)
-	for steps := 0; steps < 1<<12; steps++ {
-		it, st := p.a.Next()
-		if st == Terminated {
-			break
-		}
-		if st != Expand {
-			t.Fatalf("unexpected status %v", st)
-		}
-		p.clk.t += 0.01
-		p.a.OnExpanded(it, p.tree.Outcome(it), 0.01)
-	}
-	if !p.a.Terminated() {
-		t.Fatal("solver did not terminate")
-	}
-	// The termination broadcast must be a legacy root Report even in diff
-	// mode: it is self-certifying and needs no walk.
-	sawRoot := false
-	for _, s := range p.sa.take() {
-		if r, ok := s.m.(Report); ok && len(r.Codes) == 1 && r.Codes[0].IsRoot() {
-			sawRoot = true
-			if s.to == 1 {
-				p.b.HandleMessage(0, s.m)
-			}
-		} else if s.to == 1 {
-			p.b.HandleMessage(0, s.m)
-		}
-	}
-	if !sawRoot {
-		t.Fatal("no legacy root report in the termination broadcast")
-	}
-	p.pump(t)
-	if _, st := p.b.Next(); st != Terminated {
-		t.Fatalf("straggler status = %v, want Terminated", st)
 	}
 }

@@ -17,7 +17,6 @@ import (
 //	header  := u8(kind)                               (instance 0, legacy)
 //	         | u8(kind|0x80) uvarint(instance)        (instance-scoped)
 //	payload := codes                                  (report, table, grant)
-//	         | u64le(digest) codes                    (digest report)
 //	         | u8(full) prefix                        (subtree request)
 //	         | u8(1) uvarint(len) subtree             (subtree reply, leaf)
 //	         | u8(0) prefix uvarint(var) u8(mask) digests   (…, branch)
@@ -65,10 +64,6 @@ func Encode(dst []byte, m Msg) ([]byte, error) {
 		dst = code.AppendAll(dst, t.Codes)
 	case WorkDeny:
 		put(KindDeny, t.Incumbent, t.ActAge)
-	case DigestReport:
-		put(KindDigestReport, t.Incumbent, t.ActAge)
-		dst = binary.LittleEndian.AppendUint64(dst, t.Digest)
-		dst = code.AppendAll(dst, t.Codes)
 	case SubtreeRequest:
 		put(KindSubtreeRequest, t.Incumbent, t.ActAge)
 		var full byte
@@ -208,17 +203,6 @@ func decodeMsg(kind byte, buf []byte, off int) (Msg, int, error) {
 		return WorkGrant{Codes: cs, Incumbent: incumbent, ActAge: actAge}, off, nil
 	case KindDeny:
 		return WorkDeny{Incumbent: incumbent, ActAge: actAge}, off, nil
-	case KindDigestReport:
-		if len(buf) < off+8 {
-			return nil, 0, errors.New("protocol: truncated digest")
-		}
-		digest := binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		cs, err := readCodes()
-		if err != nil {
-			return nil, 0, fmt.Errorf("protocol: digest report codes: %w", err)
-		}
-		return DigestReport{Digest: digest, Codes: cs, Incumbent: incumbent, ActAge: actAge}, off, nil
 	case KindSubtreeRequest:
 		if len(buf) < off+1 {
 			return nil, 0, errors.New("protocol: truncated subtree request")

@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -25,7 +27,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		WorkRequest{Incumbent: math.Inf(1), ActAge: 0},
 		WorkGrant{Codes: codes[1:], Incumbent: -2, ActAge: 7},
 		WorkDeny{Incumbent: 0, ActAge: 3},
-		DigestReport{Digest: 0xdeadbeefcafef00d, Codes: codes, Incumbent: 2, ActAge: 1},
 		SubtreeRequest{Prefix: codes[1], Full: true, Incumbent: 9, ActAge: 4},
 		SubtreeRequest{Prefix: code.Root(), Incumbent: -3},
 		SubtreeReply{Prefix: codes[1], Leaf: true, Rel: codes[2:], Incumbent: 5, ActAge: 2},
@@ -63,7 +64,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecEmptyCodeBatches(t *testing.T) {
-	for _, m := range []Msg{Report{}, TableMsg{}, WorkGrant{}, DigestReport{}, SubtreeRequest{}, SubtreeReply{Leaf: true}} {
+	for _, m := range []Msg{Report{}, TableMsg{}, WorkGrant{}, SubtreeRequest{}, SubtreeReply{Leaf: true}} {
 		buf, err := Encode(nil, m)
 		if err != nil {
 			t.Fatalf("%T: %v", m, err)
@@ -121,11 +122,6 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := Encode(nil, nil); err == nil {
 		t.Error("nil message encoded")
 	}
-	// Digest report whose 8-byte digest is cut off.
-	buf, _ = Encode(nil, DigestReport{Digest: 1, Codes: sampleCodes()})
-	if _, _, err := Decode(buf[:scalarSize+4]); err == nil {
-		t.Error("truncated digest accepted")
-	}
 	// Subtree request whose prefix is cut off.
 	buf, _ = Encode(nil, SubtreeRequest{Prefix: sampleCodes()[2]})
 	if _, _, err := Decode(buf[:len(buf)-1]); err == nil {
@@ -167,6 +163,34 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	}
 }
 
+// retiredKindFrame builds a frame of kind 6, the retired digest report, in
+// the shape it had on the wire (scalars, a u64 digest, a code batch), under
+// instance inst (0 = the flagless header).
+func retiredKindFrame(inst InstanceID) []byte {
+	buf := []byte{KindDigestReport}
+	if inst != 0 {
+		buf[0] |= instanceFlag
+		buf = binary.AppendUvarint(buf, uint64(inst))
+	}
+	buf = append(buf, make([]byte, 16+8)...) // incumbent, actAge, digest
+	return code.AppendAll(buf, sampleCodes())
+}
+
+// TestCodecRejectsRetiredKind: kind 6 decodes as unknown in both header
+// forms, 0x06 and 0x86+instance, so a peer still speaking it is refused
+// rather than misread.
+func TestCodecRejectsRetiredKind(t *testing.T) {
+	want := fmt.Sprintf("protocol: unknown message kind %d", KindDigestReport)
+	if _, _, err := Decode(retiredKindFrame(0)); err == nil || err.Error() != want {
+		t.Errorf("Decode(0x06 frame) error = %v, want %q", err, want)
+	}
+	for _, inst := range []InstanceID{0, 1, 300} {
+		if _, _, _, err := DecodeInstance(retiredKindFrame(inst)); err == nil || err.Error() != want {
+			t.Errorf("DecodeInstance(kind 6, instance %d) error = %v, want %q", inst, err, want)
+		}
+	}
+}
+
 func TestCodecInstanceRoundTrip(t *testing.T) {
 	codes := sampleCodes()
 	inner := []Msg{
@@ -175,7 +199,6 @@ func TestCodecInstanceRoundTrip(t *testing.T) {
 		WorkRequest{Incumbent: math.Inf(1)},
 		WorkGrant{Codes: codes[1:], Incumbent: -2, ActAge: 7},
 		WorkDeny{ActAge: 3},
-		DigestReport{Digest: 0xdeadbeef, Codes: codes, Incumbent: 2},
 		SubtreeRequest{Prefix: codes[1], Full: true, Incumbent: 9},
 		SubtreeReply{Prefix: codes[1], Leaf: true, Rel: codes[2:], Incumbent: 5},
 		Hello{ID: 7, Addr: "127.0.0.1:9021", Incumbent: 1},
@@ -290,7 +313,6 @@ func FuzzDecode(f *testing.F) {
 		WorkRequest{Incumbent: 4},
 		WorkGrant{Codes: sampleCodes()[1:2], ActAge: 5},
 		WorkDeny{},
-		DigestReport{Digest: 0x1234, Codes: sampleCodes(), Incumbent: 6},
 		SubtreeRequest{Prefix: sampleCodes()[1], Full: true},
 		SubtreeReply{Leaf: true, Prefix: sampleCodes()[1], Rel: sampleCodes()[2:]},
 		SubtreeReply{Prefix: sampleCodes()[2], BranchVar: 3,
@@ -305,12 +327,14 @@ func FuzzDecode(f *testing.F) {
 		}
 		f.Add(buf)
 	}
+	// The retired digest-report kind, in the body shape it used to have
+	// (digest then codes), so the rejection path stays under fuzzing.
+	f.Add(retiredKindFrame(0))
 	// Instance-scoped headers: tagged seeds for the flagged-kind path.
 	for _, inst := range []InstanceID{1, 128, math.MaxUint32} {
 		for _, m := range []Msg{
 			Report{Codes: sampleCodes(), Incumbent: 1},
 			WorkRequest{ActAge: 2},
-			DigestReport{Digest: 0x77, Codes: sampleCodes()[:1]},
 			Hello{ID: 3, Addr: "h:1"},
 		} {
 			buf, err := Encode(nil, InstMsg{Instance: inst, Msg: m})
@@ -319,6 +343,7 @@ func FuzzDecode(f *testing.F) {
 			}
 			f.Add(buf)
 		}
+		f.Add(retiredKindFrame(inst))
 	}
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})

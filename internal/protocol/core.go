@@ -109,20 +109,6 @@ type Config struct {
 	RecoveryQuiet float64
 	// DisableRecovery turns the failure-recovery mechanism off (ablation).
 	DisableRecovery bool
-	// DiffGossip switches the report path to anti-entropy diff gossip:
-	// reports and table pushes carry the table's content digest (plus the
-	// recent-delta codes a report would have carried anyway), and a receiver
-	// whose digest differs walks the sender's subtree digests to pull only
-	// what it is missing. Off by default — legacy full-frontier gossip is the
-	// bit-identical baseline the golden tests pin.
-	DiffGossip bool
-	// SyncInterval rate-limits anti-entropy walks: a core starts at most one
-	// digest walk per interval. During convergence peers' tables differ
-	// almost always (deltas are in flight), so walking on every digest
-	// mismatch would trade the report savings back for request storms; the
-	// walk exists to repair real divergence — loss, restarts, partitions —
-	// not convergence lag. Defaults to ReportTimeout.
-	SyncInterval float64
 }
 
 func (c Config) withDefaults() Config {
@@ -147,16 +133,13 @@ func (c Config) withDefaults() Config {
 	if c.RecoveryQuiet <= 0 {
 		c.RecoveryQuiet = 10
 	}
-	if c.SyncInterval <= 0 {
-		c.SyncInterval = c.ReportTimeout
-	}
 	return c
 }
 
-// Anti-entropy walk tuning.
+// Bootstrap walk tuning.
 const (
-	// syncLeafMax is the subtree-frontier size at or below which a sync
-	// responder inlines the codes instead of describing another level of
+	// syncLeafMax is the subtree-frontier size at or below which a
+	// bootstrap responder inlines the codes instead of describing another level of
 	// child digests. Every level of descent costs a request/reply pair per
 	// differing child, so the threshold is set where inlining a frontier
 	// chunk beats the structural traffic of walking it — a quiescent table's
@@ -166,17 +149,9 @@ const (
 	// maxSyncRequests caps in-flight subtree requests per walk. Replies
 	// release budget, so a deep walk still completes — a converging core
 	// must be able to pull its whole remaining diff, or termination stalls
-	// and recovery re-expands work — while the cap bounds how much a single
-	// digest mismatch fans out at once.
+	// and recovery re-expands work — while the cap bounds how much one walk
+	// fans out at once.
 	maxSyncRequests = 32
-	// syncQuietJitter spreads the quiet gate: each divergent digest draws a
-	// quiet threshold uniform in [SyncInterval, (1+jitter)·SyncInterval), so
-	// the longer a core's delta stream has been silent the likelier it is to
-	// start repairing. At quiescence this thins the walker herd — every
-	// starving member sees the same global silence, but only one converged
-	// table is needed (its root broadcast terminates everyone), so the few
-	// early walkers finish the job while the rest never pay for a pull.
-	syncQuietJitter = 8.0
 )
 
 // Deps wires a Core to its driver. Clock, Sender, Expander, Peers, and Rand
@@ -274,21 +249,9 @@ type Core struct {
 	remoteAct    float64
 	selfBusy     float64
 
-	// Anti-entropy walk state (DiffGossip only). lastSync is when the last
-	// digest walk started (-Inf = never, so a fresh core — including a
-	// crash-restart rejoin — syncs on its first divergent digest); syncOut
-	// is the in-flight subtree-request budget of the current walk. lastDelta
-	// is the last table change from the delta stream — a local completion or
-	// a novel gossiped code, NOT a walk pull — anchoring the quiet gate that
-	// keeps walks out of mid-run convergence; a walk's own pulls must not
-	// re-arm the gate or endgame repair would crawl one round per interval.
-	// syncHot marks a committed aggregator: it passed the quiet gate once
-	// and keeps walking round after round (one walk in flight at a time)
-	// until its table converges or the delta stream resumes.
-	lastSync  float64
-	syncOut   int
-	lastDelta float64
-	syncHot   bool
+	// syncOut is the in-flight subtree-request budget of the current
+	// Bootstrap walk.
+	syncOut int
 
 	cnt Counters
 }
@@ -304,7 +267,6 @@ func New(id NodeID, cfg Config, d Deps) *Core {
 		table:     newPooledTable(),
 		outbox:    newPooledTable(),
 		incumbent: math.Inf(1),
-		lastSync:  math.Inf(-1),
 	}
 }
 
@@ -486,7 +448,6 @@ func (c *Core) complete(cd code.Code) {
 	if changed, err := c.table.Insert(cd); err != nil || !changed {
 		return
 	}
-	c.lastDelta = c.d.Clock.Now()
 	if changed, _ := c.outbox.Insert(cd); changed {
 		c.outboxAdds++
 	}
@@ -522,12 +483,6 @@ func (c *Core) FlushReport() {
 		return // lone process: nothing to gossip, its own table suffices
 	}
 	var m Msg = Report{Codes: codes, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
-	if c.cfg.DiffGossip {
-		// Diff mode: the same delta codes, plus the table digest so the
-		// receiver can detect divergence beyond the delta and pull what it
-		// is missing (maybeSync on the receiving side).
-		m = DigestReport{Digest: c.table.Digest(), Codes: codes, Incumbent: c.incumbent, ActAge: c.ActivityAge()}
-	}
 	for i := 0; i < c.cfg.ReportFanout; i++ {
 		c.d.Sender.Send(peers[c.d.Rand(len(peers))], m)
 		c.cnt.ReportsSent++
@@ -555,16 +510,7 @@ func (c *Core) ReportOverdue() bool {
 }
 
 // SendTable pushes the full table to one member (§5.2's consistency gossip).
-// In diff mode the push is a bare digest: the receiver pulls only the
-// subtrees it is actually missing instead of absorbing the whole frontier —
-// the size-with-progress term this refactor removes from steady-state
-// traffic.
 func (c *Core) SendTable(to NodeID) {
-	if c.cfg.DiffGossip {
-		c.d.Sender.Send(to, DigestReport{Digest: c.table.Digest(), Incumbent: c.incumbent, ActAge: c.ActivityAge()})
-		c.cnt.TablesSent++
-		return
-	}
 	c.d.Sender.Send(to, TableMsg{Codes: c.table.Codes(), Incumbent: c.incumbent, ActAge: c.ActivityAge()})
 	c.cnt.TablesSent++
 }
@@ -770,11 +716,6 @@ func (c *Core) HandleMessage(from NodeID, m Msg) Effect {
 			c.failedReqs++
 			eff = Effect{Answered: true, Failed: true}
 		}
-	case DigestReport:
-		c.observeIncumbent(t.Incumbent)
-		c.noteActivity(t.ActAge)
-		c.merge(t.Codes)
-		c.maybeSync(from, t.Digest)
 	case SubtreeRequest:
 		c.observeIncumbent(t.Incumbent)
 		c.noteActivity(t.ActAge)
@@ -793,82 +734,19 @@ func (c *Core) HandleMessage(from NodeID, m Msg) Effect {
 	return eff
 }
 
-// --- anti-entropy sync (DiffGossip) -------------------------------------------
-
-// maybeSync starts a digest walk against peer when a received table digest
-// proves the tables differ. Only a starving core walks: while the pool is
-// non-empty the table converges through the in-flight deltas on its own, and
-// walking would re-pull mere convergence lag — the request storm that would
-// trade the report savings straight back. A starving core is exactly where
-// the legacy protocol spends its full-table pushes and where completeness
-// matters (termination detection, complement recovery) — and a crash-restart
-// rejoin starves until work arrives, so its first divergent digest still
-// triggers the full-root bootstrap pull. Walks are additionally rate-limited
-// by SyncInterval, and the pull is one-directional (this core requests what
-// peer has); the symmetric repair happens when its own digest reaches peer.
-func (c *Core) maybeSync(peer NodeID, digest uint64) {
-	if c.terminated || c.pool.Len() > 0 || digest == c.table.Digest() {
-		return
-	}
-	now := c.d.Clock.Now()
-	if c.syncHot {
-		// Committed aggregator: keep pulling, one walk in flight at a time.
-		// A reply can be lost, so a walk whose budget never drains is
-		// abandoned after a full SyncInterval rather than wedging the
-		// aggregation forever.
-		if c.syncOut > 0 && now-c.lastSync < c.cfg.SyncInterval {
-			return
-		}
-	} else {
-		if c.table.Len() > 0 {
-			// Quiet gate: while completions are still flowing — own
-			// expansions or novel gossiped codes — a digest mismatch is
-			// convergence lag that the deltas and the merge-forward relay
-			// repair on their own, and at that stage tables are fat with
-			// transient fine-grained frontier a walk would pointlessly haul.
-			// Only once the delta stream has been silent for a (jittered)
-			// quiet window is remaining divergence real damage worth a pull.
-			// An empty table skips the gate: a crash-restart rejoin must
-			// bootstrap immediately, while reports are still flowing past it.
-			quiet := c.cfg.SyncInterval
-			if c.d.RandFloat != nil {
-				quiet *= 1 + syncQuietJitter*c.d.RandFloat()
-			}
-			// Never out-wait the recovery watchdog: were the gate to hold
-			// walks past RecoveryQuiet, a starving system would misread its
-			// own convergence lag as crashed peers and re-expand "lost"
-			// regions — far costlier than any walk. Half the window leaves
-			// the walk time to converge before the watchdog fires.
-			if lim := c.cfg.RecoveryQuiet / 2; quiet > lim {
-				quiet = lim
-			}
-			if now-c.lastDelta < quiet {
-				return
-			}
-		}
-		if now-c.lastSync < c.cfg.SyncInterval {
-			return
-		}
-		c.syncHot = true
-	}
-	c.lastSync = now
-	c.syncOut = 0
-	c.requestSubtree(peer, code.Root())
-}
+// --- table bootstrap ------------------------------------------------------------
 
 // Bootstrap pulls peer's completion table, starting a digest walk at the
-// root. A brand-new joiner has an empty table, so the walk degenerates to the
-// single Full-root SubtreeRequest/SubtreeReply transfer of the crash-restart
-// rejoin path — the whole contracted frontier in one reply. Drivers call it
-// when a process joins mid-run (and may call it again if the reply is lost:
-// the walk is idempotent, and a non-empty table turns retries into cheap
-// digest-guided diffs). It works in legacy gossip mode too — subtree
-// request/reply handling is unconditional on DiffGossip.
+// root. A brand-new joiner has an empty table, so the walk degenerates to a
+// single Full-root SubtreeRequest/SubtreeReply transfer — the whole
+// contracted frontier in one reply. Drivers call it when a process joins
+// mid-run or is re-absorbed after an exclusion (and may call it again if the
+// reply is lost: the walk is idempotent, and a non-empty table turns retries
+// into cheap digest-guided diffs).
 func (c *Core) Bootstrap(peer NodeID) {
 	if c.terminated {
 		return
 	}
-	c.lastSync = c.d.Clock.Now()
 	c.syncOut = 0
 	c.requestSubtree(peer, code.Root())
 }
@@ -882,8 +760,8 @@ func (c *Core) NoteRemoteActivity(age float64) { c.noteActivity(age) }
 
 // requestSubtree asks peer for the content under prefix, under the walk's
 // total request budget. Full is set when this core knows nothing under prefix —
-// the responder then ships the whole subtree frontier (the restart-rejoin
-// bootstrap payload) instead of another level of digests.
+// the responder then ships the whole subtree frontier (the bootstrap payload)
+// instead of another level of digests.
 func (c *Core) requestSubtree(peer NodeID, prefix code.Code) {
 	if c.syncOut >= maxSyncRequests {
 		return
@@ -960,66 +838,13 @@ func (c *Core) absorbSubtree(from NodeID, rep SubtreeReply) {
 
 // merge stores a received report in the table and contracts it. Novel
 // information counts as remote progress for the recovery quiet window.
-//
-// In diff mode novel codes are also relayed: they enter the outbox and ride
-// the next delta report, so a completion spreads epidemically in O(log n)
-// gossip hops instead of waiting for a full-table exchange. Legacy gossip
-// cannot afford relaying — without digests a re-delivered code looks novel
-// forever and the frontier would echo around the ring — but the contracted
-// table makes the novelty check exact: a code relays at most once per core,
-// in whatever contracted form it had when it arrived. This is what lets the
-// anti-entropy walk stay the rare repair path — convergence no longer
-// depends on it.
 func (c *Core) merge(cs []code.Code) {
-	if c.cfg.DiffGossip {
-		c.relayMerge(cs)
-		return
-	}
 	changed, _ := c.table.InsertAll(cs)
 	if changed > 0 {
 		c.lastProgress = c.d.Clock.Now()
 	}
 	if c.d.OnTableChange != nil {
 		c.d.OnTableChange()
-	}
-}
-
-// relayMerge is merge for diff mode: per-code insertion so a code that
-// CONTRACTS on arrival — this core held the sibling, so insertion merged up
-// to a strictly shallower covering ancestor — relays onward: the covering
-// code re-enters the outbox and rides the next delta report. Merge-forward
-// gossip coarsens as it spreads: every forwarded code is shallower than the
-// one received, subsumes (and evicts from the outbox) finer relays still
-// pending, and deduplicates at each hop through the novelty check, while
-// non-contracting codes spread no further than the completer's own fanout —
-// pushing every fine completion to every member costs Ω(members × frontier),
-// the very term diff gossip removes. Flush pacing is the same batch
-// threshold complete() uses; relayed codes do not count as reported
-// completions (outboxAdds), they are transit traffic.
-func (c *Core) relayMerge(cs []code.Code) {
-	changed := 0
-	for _, cd := range cs {
-		if ins, err := c.table.Insert(cd); err != nil || !ins {
-			continue
-		}
-		changed++
-		if cov, ok := c.table.Covering(cd); ok && len(cov) < len(cd) {
-			c.outbox.Insert(cov)
-		}
-	}
-	if changed > 0 {
-		now := c.d.Clock.Now()
-		c.lastProgress = now
-		c.lastDelta = now
-		// The delta stream is alive again: stand down from aggregation and
-		// let convergence ride the deltas.
-		c.syncHot = false
-	}
-	if c.d.OnTableChange != nil {
-		c.d.OnTableChange()
-	}
-	if !c.terminated && c.outbox.Len() >= c.cfg.ReportBatch {
-		c.FlushReport()
 	}
 }
 

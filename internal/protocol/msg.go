@@ -55,6 +55,9 @@ const (
 	KindRequest
 	KindGrant
 	KindDeny
+	// KindDigestReport is retired: it carried the removed diff-gossip
+	// report. The number stays reserved so kinds 7+ keep their wire values,
+	// and decoders reject it as unknown.
 	KindDigestReport
 	KindSubtreeRequest
 	KindSubtreeReply
@@ -182,30 +185,10 @@ func (m WorkDeny) Size() int { return scalarSize }
 // Kind implements Msg.
 func (m WorkDeny) Kind() byte { return KindDeny }
 
-// DigestReport is the diff-gossip work report: the same recent-delta codes a
-// Report carries, plus the content digest of the sender's whole completion
-// table (ctree.Table.Digest). The delta keeps steady-state convergence as
-// cheap as legacy reports; the digest lets a receiver detect divergence
-// beyond the delta — lost reports, a restart, a partition heal — and pull
-// exactly the missing subtrees instead of waiting for a full-table push. A
-// DigestReport with no codes is the diff-mode table push.
-type DigestReport struct {
-	Digest    uint64
-	Codes     []code.Code
-	Incumbent float64
-	ActAge    float64
-}
-
-// Size implements Msg.
-func (m DigestReport) Size() int { return scalarSize + 8 + codesWireSize(m.Codes) }
-
-// Kind implements Msg.
-func (m DigestReport) Kind() byte { return KindDigestReport }
-
 // SubtreeRequest asks a peer for the completion content under Prefix during
-// an anti-entropy walk. Full set means the requester knows nothing under
-// Prefix (the restart-rejoin and bootstrap case) and the responder should
-// ship the whole subtree frontier instead of another level of digests.
+// a Bootstrap walk. Full set means the requester knows nothing under Prefix
+// and the responder should ship the whole subtree frontier instead of
+// another level of digests.
 type SubtreeRequest struct {
 	Prefix    code.Code
 	Full      bool
